@@ -13,8 +13,9 @@
 //! * sparse rows `{index value, index value, ...}`.
 
 use crate::attribute::{Attribute, AttributeKind};
-use crate::dataset::{Dataset, Value};
+use crate::dataset::{push_numeric, Dataset, Value};
 use crate::error::{DataError, Result};
+use std::borrow::Cow;
 
 /// Parse an ARFF document into a [`Dataset`].
 ///
@@ -29,138 +30,122 @@ pub fn parse_arff(text: &str) -> Result<Dataset> {
     let mut attributes: Vec<Attribute> = Vec::new();
     let mut dataset: Option<Dataset> = None;
 
-    for (lineno, raw) in text.lines().enumerate() {
+    for (index, raw) in text.lines().enumerate() {
+        let lineno = index + 1;
         let line = strip_comment(raw).trim();
         if line.is_empty() {
             continue;
         }
-        let lower = line.to_ascii_lowercase();
         if let Some(ds) = dataset.as_mut() {
-            // Data section.
+            // Data section: cells borrow the header's attributes from the
+            // local copy, which leaves the dataset free for interning.
             if line.starts_with('{') {
-                parse_sparse_row(ds, line, lineno + 1)?;
+                push_sparse_row(ds, &attributes, line, lineno)?;
             } else {
-                let fields = split_csv_line(line);
-                push_textual_row(ds, &fields, lineno + 1)?;
+                push_dense_row(ds, &attributes, line, lineno)?;
             }
-        } else if lower.starts_with("@relation") {
+            continue;
+        }
+        let lower = line.to_ascii_lowercase();
+        if lower.starts_with("@relation") {
             relation = unquote(line["@relation".len()..].trim()).to_string();
         } else if lower.starts_with("@attribute") {
-            attributes.push(parse_attribute_decl(
-                line["@attribute".len()..].trim(),
-                lineno + 1,
-            )?);
+            let decl = line["@attribute".len()..].trim();
+            attributes.push(parse_attribute_decl(decl, lineno)?);
         } else if lower.starts_with("@data") {
             if attributes.is_empty() {
-                return Err(DataError::Parse {
-                    line: lineno + 1,
-                    message: "@data before any @attribute declaration".into(),
-                });
+                let message = "@data before any @attribute declaration";
+                return Err(parse_error(lineno, message));
             }
             dataset = Some(Dataset::new(relation.clone(), attributes.clone()));
         } else {
-            return Err(DataError::Parse {
-                line: lineno + 1,
-                message: format!("unrecognised header line: {line:?}"),
-            });
+            let message = format!("unrecognised header line: {line:?}");
+            return Err(parse_error(lineno, message));
         }
     }
 
-    dataset.ok_or(DataError::Parse {
-        line: 0,
-        message: "no @data section".into(),
-    })
+    dataset.ok_or(parse_error(0, "no @data section"))
 }
 
-fn push_textual_row(ds: &mut Dataset, fields: &[String], lineno: usize) -> Result<()> {
-    if fields.len() != ds.num_attributes() {
-        return Err(DataError::Parse {
-            line: lineno,
-            message: format!(
-                "row has {} values, header declares {} attributes",
-                fields.len(),
-                ds.num_attributes()
-            ),
-        });
+fn parse_error(line: usize, message: impl Into<String>) -> DataError {
+    DataError::Parse {
+        line,
+        message: message.into(),
     }
-    // String attributes need interning, which push_labels does not do;
-    // encode manually.
-    let mut row = Vec::with_capacity(fields.len());
-    for (i, field) in fields.iter().enumerate() {
-        let attr = ds.attribute(i)?.clone();
-        let v = if field == "?" {
-            Value::MISSING
-        } else {
-            match attr.kind() {
-                AttributeKind::Nominal(_) => {
-                    Value::from_index(attr.label_index(field).ok_or_else(|| DataError::Parse {
-                        line: lineno,
-                        message: format!(
-                            "label {field:?} not in domain of attribute {:?}",
-                            attr.name()
-                        ),
-                    })?)
-                }
-                AttributeKind::Numeric => parse_finite(field, lineno)?,
-                AttributeKind::Str => Value::from_index(ds.intern_string(field.clone())),
-            }
-        };
-        row.push(v);
-    }
-    ds.push_row(row)?;
-    Ok(())
 }
 
-fn parse_sparse_row(ds: &mut Dataset, line: &str, lineno: usize) -> Result<()> {
+/// Without quotes, [`split_csv_line`] is exactly a split on commas with
+/// each field trimmed, so such lines borrow their fields.
+fn push_dense_row(ds: &mut Dataset, attrs: &[Attribute], line: &str, lineno: usize) -> Result<()> {
+    let unquoted;
+    let fields: Vec<&str> = if line.contains('\'') {
+        unquoted = split_csv_line(line);
+        unquoted.iter().map(String::as_str).collect()
+    } else {
+        line.split(',').map(str::trim).collect()
+    };
+    if fields.len() != attrs.len() {
+        let (got, want) = (fields.len(), attrs.len());
+        let message = format!("row has {got} values, header declares {want} attributes");
+        return Err(parse_error(lineno, message));
+    }
+    let row = (fields.iter().zip(attrs))
+        .map(|(field, attr)| encode_cell(ds, attr, field, lineno))
+        .collect::<Result<_>>()?;
+    ds.push_row(row)
+}
+
+fn push_sparse_row(ds: &mut Dataset, attrs: &[Attribute], line: &str, lineno: usize) -> Result<()> {
     let inner = line
         .strip_prefix('{')
         .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| DataError::Parse {
-            line: lineno,
-            message: "unterminated sparse row".into(),
-        })?;
+        .ok_or_else(|| parse_error(lineno, "unterminated sparse row"))?;
     // Sparse rows default unlisted values to 0 (numeric) or first label.
-    let mut row = vec![0.0; ds.num_attributes()];
+    let mut row = vec![0.0; attrs.len()];
     if !inner.trim().is_empty() {
         for part in split_csv_line(inner) {
-            let mut it = part.splitn(2, char::is_whitespace);
-            let idx: usize =
-                it.next()
-                    .unwrap_or("")
-                    .trim()
-                    .parse()
-                    .map_err(|_| DataError::Parse {
-                        line: lineno,
-                        message: "bad sparse index".into(),
-                    })?;
-            let val = it.next().unwrap_or("").trim();
-            if idx >= ds.num_attributes() {
-                return Err(DataError::Parse {
-                    line: lineno,
-                    message: format!("sparse index {idx} out of range"),
-                });
-            }
-            let attr = ds.attribute(idx)?.clone();
-            row[idx] = if val == "?" {
-                Value::MISSING
+            let (idx, val) = part.split_once(char::is_whitespace).unwrap_or((&part, ""));
+            let Ok(idx) = idx.trim().parse::<usize>() else {
+                return Err(parse_error(lineno, "bad sparse index"));
+            };
+            let Some(attr) = attrs.get(idx) else {
+                let message = format!("sparse index {idx} out of range");
+                return Err(parse_error(lineno, message));
+            };
+            let val = val.trim();
+            // Labels and strings are unquoted; numerics are taken as is.
+            row[idx] = if val == "?" || attr.is_numeric() {
+                encode_cell(ds, attr, val, lineno)?
             } else {
-                match attr.kind() {
-                    AttributeKind::Nominal(_) => {
-                        Value::from_index(attr.label_index(&unquote(val)).ok_or_else(|| {
-                            DataError::Parse {
-                                line: lineno,
-                                message: format!("label {val:?} not in domain"),
-                            }
-                        })?)
-                    }
-                    AttributeKind::Numeric => parse_finite(val, lineno)?,
-                    AttributeKind::Str => Value::from_index(ds.intern_string(unquote(val))),
-                }
+                encode_cell(ds, attr, &unquote(val), lineno)?
             };
         }
     }
-    ds.push_row(row)?;
-    Ok(())
+    ds.push_row(row)
+}
+
+/// Encode one textual cell against its attribute: `?` is missing,
+/// nominal labels resolve to their domain index, numerics must be
+/// finite and strings are interned.
+fn encode_cell(ds: &mut Dataset, attr: &Attribute, field: &str, lineno: usize) -> Result<f64> {
+    if field == "?" {
+        return Ok(Value::MISSING);
+    }
+    match attr.kind() {
+        AttributeKind::Nominal(_) => {
+            attr.label_index(field)
+                .map(Value::from_index)
+                .ok_or_else(|| {
+                    let name = attr.name();
+                    parse_error(
+                        lineno,
+                        format!("label {field:?} not in domain of attribute {name:?}"),
+                    )
+                })
+        }
+        AttributeKind::Numeric => parse_finite(field, lineno),
+        AttributeKind::Str => Ok(Value::from_index(ds.intern_string(field))),
+    }
 }
 
 /// Parse a numeric literal, rejecting non-finite values: `NaN` would
@@ -172,9 +157,9 @@ fn parse_finite(field: &str, lineno: usize) -> Result<f64> {
         .parse::<f64>()
         .ok()
         .filter(|v| v.is_finite())
-        .ok_or_else(|| DataError::Parse {
-            line: lineno,
-            message: format!("{field:?} is not a finite number (use '?' for missing)"),
+        .ok_or_else(|| {
+            let message = format!("{field:?} is not a finite number (use '?' for missing)");
+            parse_error(lineno, message)
         })
 }
 
@@ -182,20 +167,14 @@ fn parse_attribute_decl(decl: &str, lineno: usize) -> Result<Attribute> {
     // Name may be quoted and may contain spaces when quoted.
     let (name, rest) = take_token(decl);
     if name.is_empty() {
-        return Err(DataError::Parse {
-            line: lineno,
-            message: "missing attribute name".into(),
-        });
+        return Err(parse_error(lineno, "missing attribute name"));
     }
     let rest = rest.trim();
     if rest.starts_with('{') {
         let inner = rest
             .strip_prefix('{')
             .and_then(|s| s.strip_suffix('}'))
-            .ok_or_else(|| DataError::Parse {
-                line: lineno,
-                message: "unterminated nominal domain".into(),
-            })?;
+            .ok_or_else(|| parse_error(lineno, "unterminated nominal domain"))?;
         let labels: Vec<String> = split_csv_line(inner);
         Ok(Attribute::nominal(name, labels))
     } else {
@@ -206,10 +185,10 @@ fn parse_attribute_decl(decl: &str, lineno: usize) -> Result<Attribute> {
                 // Dates are stored as numeric timestamps; format is ignored.
                 Ok(Attribute::numeric(name))
             }
-            other => Err(DataError::Parse {
-                line: lineno,
-                message: format!("unsupported attribute type {other:?}"),
-            }),
+            other => Err(parse_error(
+                lineno,
+                format!("unsupported attribute type {other:?}"),
+            )),
         }
     }
 }
@@ -227,17 +206,29 @@ pub fn write_arff(ds: &Dataset) -> String {
     }
     out.push_str("\n@data\n");
     for row in 0..ds.num_instances() {
-        let mut first = true;
-        for attr in 0..ds.num_attributes() {
-            if !first {
+        for (a, attr) in ds.attributes().iter().enumerate() {
+            if a > 0 {
                 out.push(',');
             }
-            first = false;
-            let text = ds.format_value(row, attr);
-            if text == "?" {
-                out.push('?');
-            } else {
-                out.push_str(&quote_if_needed(&text));
+            // Labels and strings are copied straight into `out`; only a
+            // token that needs quotes allocates.
+            let v = ds.value(row, a);
+            let text = match attr.kind() {
+                _ if Value::is_missing(v) => Some("?"),
+                AttributeKind::Numeric => {
+                    push_numeric(&mut out, v);
+                    continue;
+                }
+                AttributeKind::Nominal(labels) => {
+                    labels.get(Value::as_index(v)).map(String::as_str)
+                }
+                AttributeKind::Str => ds.string_at(Value::as_index(v)),
+            };
+            match text {
+                // Missing cells and a literal `?` label are written bare.
+                Some("?") => out.push('?'),
+                Some(text) => out.push_str(&quote_if_needed(text)),
+                None => out.push_str(&format!("#{}", Value::as_index(v))),
             }
         }
         out.push('\n');
@@ -245,20 +236,24 @@ pub fn write_arff(ds: &Dataset) -> String {
     out
 }
 
-/// Quote a token with single quotes when it contains ARFF separators.
-pub fn quote_if_needed(token: &str) -> String {
+/// Quote a token with single quotes when it contains ARFF separators
+/// (borrowed unchanged otherwise).
+pub fn quote_if_needed(token: &str) -> Cow<'_, str> {
     if token.is_empty() || token.contains([' ', ',', '{', '}', '%', '\'', '"']) {
-        format!("'{}'", token.replace('\'', "\\'"))
+        Cow::Owned(format!("'{}'", token.replace('\'', "\\'")))
     } else {
-        token.to_string()
+        Cow::Borrowed(token)
     }
 }
 
-/// Remove a trailing `%` comment, honouring quoting.
+/// Remove a trailing `%` comment, honouring quoting and, as
+/// [`split_csv_line`] does, `\'` escapes inside quotes.
 fn strip_comment(line: &str) -> &str {
-    let mut in_quote = false;
+    let (mut in_quote, mut escaped) = (false, false);
     for (i, c) in line.char_indices() {
         match c {
+            _ if escaped => escaped = false,
+            '\\' if in_quote => escaped = true,
             '\'' => in_quote = !in_quote,
             '%' if !in_quote => return &line[..i],
             _ => {}

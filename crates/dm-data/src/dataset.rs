@@ -316,10 +316,22 @@ impl Dataset {
                         label: field.to_string(),
                     })
             }
-            AttributeKind::Numeric => field.parse::<f64>().map_err(|_| DataError::Parse {
-                line: 0,
-                message: format!("{field:?} is not numeric (attribute {:?})", attr.name()),
-            }),
+            // `NaN` would alias the missing marker and infinities poison
+            // summary statistics, so both are rejected like junk text.
+            AttributeKind::Numeric => match field.parse::<f64>() {
+                Ok(v) if v.is_finite() => Ok(v),
+                Ok(_) => Err(DataError::Parse {
+                    line: 0,
+                    message: format!(
+                        "{field:?} is not a finite number (attribute {:?}; use '?' for missing)",
+                        attr.name()
+                    ),
+                }),
+                Err(_) => Err(DataError::Parse {
+                    line: 0,
+                    message: format!("{field:?} is not numeric (attribute {:?})", attr.name()),
+                }),
+            },
             AttributeKind::Str => Err(DataError::KindMismatch {
                 attribute: attr.name().to_string(),
                 expected: "nominal or numeric (use push_string_row for string attributes)",
@@ -608,11 +620,19 @@ impl<'a> BlockView<'a> {
 /// Format a numeric value the way ARFF writers conventionally do: no
 /// trailing `.0` for integral values.
 pub(crate) fn format_numeric(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
+    let mut out = String::new();
+    push_numeric(&mut out, v);
+    out
+}
+
+/// Append the [`format_numeric`] rendering of `v` to `out`.
+pub(crate) fn push_numeric(out: &mut String, v: f64) {
+    use std::fmt::Write;
+    let _ = if v == v.trunc() && v.abs() < 1e15 {
+        write!(out, "{}", v as i64)
     } else {
-        format!("{v}")
-    }
+        write!(out, "{v}")
+    };
 }
 
 #[cfg(test)]
@@ -670,6 +690,23 @@ mod tests {
         let mut ds = weather();
         let err = ds.push_labels(&["snowy", "1", "yes"]).unwrap_err();
         assert!(matches!(err, DataError::UnknownLabel { .. }));
+    }
+
+    #[test]
+    fn non_finite_numeric_labels_rejected() {
+        let mut ds = weather();
+        for literal in ["NaN", "nan", "inf", "-inf", "Infinity"] {
+            match ds.push_labels(&["sunny", literal, "yes"]) {
+                Err(DataError::Parse { message, .. }) => {
+                    assert!(message.contains("finite"), "{literal}: {message}");
+                }
+                other => panic!("{literal} accepted as numeric: {other:?}"),
+            }
+        }
+        // Rejected rows leave the dataset unchanged; `?` is still missing.
+        assert_eq!(ds.num_instances(), 3);
+        ds.push_labels(&["sunny", "?", "yes"]).unwrap();
+        assert!(ds.instance(3).is_missing(1));
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::model_cache::{eval_key, model_key, ModelCache, SharedModel};
 use crate::support::{
     algo_fault, dataset_with_class, int_arg, opt_text_arg, text_arg, traced_handler,
 };
+use dm_algorithms::classifiers::Classifier;
 use dm_algorithms::options::parse_options_string;
 use dm_algorithms::registry::{classifier_names, make_classifier};
 use dm_wsrf::container::{ServiceFault, WebService};
@@ -26,6 +27,11 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// The general Classifier Web Service.
+///
+/// Trained models and cross-validation summaries are cached under a key
+/// built from the configured classifier's canonical `options_string()`
+/// (see [`model_key`]), so requests that spell the same configuration
+/// differently share one model.
 #[derive(Debug, Default)]
 pub struct ClassifierService {
     cache: ModelCache,
@@ -52,25 +58,38 @@ impl ClassifierService {
 
     /// Train (or fetch from cache) the model described by the standard
     /// four arguments: dataset, classifier, options, attribute.
+    ///
+    /// The classifier is built and configured before the cache lookup,
+    /// and the key uses its canonical `options_string()` rather than
+    /// the options text as sent: the explicit defaults string that the
+    /// OptionSelector tool produces and an empty options argument name
+    /// the same model, so `classifyGraph` reuses what
+    /// `classifyInstance` just trained.
     fn trained_model(&self, args: &[(String, SoapValue)]) -> Result<SharedModel, ServiceFault> {
         let arff = text_arg(args, "dataset")?;
         let name = text_arg(args, "classifier")?;
         let options = opt_text_arg(args, "options")?.unwrap_or("");
         let attribute = text_arg(args, "attribute")?;
-        let key = model_key(name, options, attribute, arff);
+        let mut model = configured(name, options).map_err(algo_fault)?;
+        let key = model_key(name, &model.options_string(), attribute, arff);
         if let Some(model) = self.cache.get_model(key) {
             return Ok(model);
         }
         let ds = dataset_with_class(arff, attribute)?;
-        let mut model = make_classifier(name).map_err(algo_fault)?;
-        for (flag, value) in parse_options_string(options) {
-            model.set_option(&flag, &value).map_err(algo_fault)?;
-        }
         model.train(&ds).map_err(algo_fault)?;
         let shared: SharedModel = Arc::new(Mutex::new(model));
         self.cache.insert_model(key, Arc::clone(&shared));
         Ok(shared)
     }
+}
+
+/// A fresh `name` classifier with the WEKA-style `options` applied.
+fn configured(name: &str, options: &str) -> dm_algorithms::error::Result<Box<dyn Classifier>> {
+    let mut model = make_classifier(name)?;
+    for (flag, value) in parse_options_string(options) {
+        model.set_option(&flag, &value)?;
+    }
+    Ok(model)
 }
 
 fn stats_row(stats: &CacheStats) -> SoapValue {
@@ -239,24 +258,20 @@ impl WebService for ClassifierService {
             "crossValidate" => {
                 let arff = text_arg(args, "dataset")?;
                 let name = text_arg(args, "classifier")?;
-                let options = opt_text_arg(args, "options")?.unwrap_or("").to_string();
+                let options = opt_text_arg(args, "options")?.unwrap_or("");
                 let attribute = text_arg(args, "attribute")?;
                 let folds_arg = int_arg(args, "folds")?;
-                let key = eval_key(name, &options, attribute, folds_arg, arff);
+                let canonical = configured(name, options)
+                    .map_err(algo_fault)?
+                    .options_string();
+                let key = eval_key(name, &canonical, attribute, folds_arg, arff);
                 if let Some(summary) = self.cache.get_eval(key) {
                     return Ok(SoapValue::Text(summary.to_string()));
                 }
                 let folds = folds_arg.clamp(2, 100) as usize;
                 let ds = dataset_with_class(arff, attribute)?;
-                let name = name.to_string();
                 let eval = dm_algorithms::eval::cross_validate(
-                    || {
-                        let mut m = make_classifier(&name)?;
-                        for (flag, value) in parse_options_string(&options) {
-                            m.set_option(&flag, &value)?;
-                        }
-                        Ok(m)
-                    },
+                    || configured(name, options),
                     &ds,
                     folds,
                     1,
@@ -278,6 +293,7 @@ impl WebService for ClassifierService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dm_algorithms::options::{OptionDescriptor, OptionKind};
     use dm_data::corpus::breast_cancer_arff;
 
     fn args_for(classifier: &str) -> Vec<(String, SoapValue)> {
@@ -468,6 +484,101 @@ mod tests {
         let stats = s.cache().model_stats();
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.hits, 0);
+    }
+
+    /// The option string `OptionSelector::defaults()` sends: every
+    /// flag with its declared default.
+    fn explicit_defaults(classifier: &str) -> String {
+        make_classifier(classifier)
+            .unwrap()
+            .option_descriptors()
+            .iter()
+            .map(|d| format!("{} {}", d.flag, d.default))
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    #[test]
+    fn explicit_defaults_and_empty_options_share_one_model() {
+        // The case-study shape: classifyInstance gets the defaults
+        // spelled out, classifyGraph is bound to "".
+        let s = ClassifierService::new();
+        let mut args = args_for("J48");
+        args[2].1 = SoapValue::Text(explicit_defaults("J48"));
+        s.invoke("classifyInstance", &args).unwrap();
+        let svg = s.invoke("classifyGraph", &args_for("J48")).unwrap();
+        let stats = s.cache().model_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
+        // The shared model draws the same tree a cold service trains.
+        let cold = ClassifierService::new()
+            .invoke("classifyGraph", &args_for("J48"))
+            .unwrap();
+        assert_eq!(svg, cold);
+    }
+
+    #[test]
+    fn explicit_defaults_and_empty_options_share_one_evaluation() {
+        let s = ClassifierService::new();
+        let mut args = args_for("J48");
+        args.push(("folds".to_string(), SoapValue::Int(3)));
+        let bare = s.invoke("crossValidate", &args).unwrap();
+        args[2].1 = SoapValue::Text(explicit_defaults("J48"));
+        let spelled = s.invoke("crossValidate", &args).unwrap();
+        assert_eq!(bare, spelled);
+        let stats = s.cache().eval_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
+    }
+
+    #[test]
+    fn options_string_round_trips_for_every_classifier() {
+        for name in classifier_names() {
+            let canonical = make_classifier(name).unwrap().options_string();
+            let again = configured(name, &canonical).unwrap().options_string();
+            assert_eq!(again, canonical, "{name}");
+            let spelled = configured(name, &explicit_defaults(name)).unwrap();
+            assert_eq!(spelled.options_string(), canonical, "{name}");
+        }
+    }
+
+    /// A valid value for `d` that differs from its default.
+    fn non_default(d: &OptionDescriptor) -> String {
+        match &d.kind {
+            OptionKind::Flag => (d.default != "true").to_string(),
+            OptionKind::Integer { min, max } => {
+                let v: i64 = d.default.parse().unwrap();
+                if v < *max { v + 1 } else { v - 1 }.max(*min).to_string()
+            }
+            OptionKind::Real { min, max } => {
+                let v: f64 = d.default.parse().unwrap();
+                if v + 1.0 <= *max {
+                    v + 1.0
+                } else {
+                    (v + min) / 2.0
+                }
+                .to_string()
+            }
+            OptionKind::Choice(choices) => {
+                choices.iter().find(|c| **c != d.default).unwrap().clone()
+            }
+            OptionKind::Text => classifier_names()
+                .into_iter()
+                .find(|n| *n != d.default)
+                .unwrap()
+                .to_string(),
+        }
+    }
+
+    #[test]
+    fn every_non_default_option_changes_the_canonical_key() {
+        for name in classifier_names() {
+            let defaults = make_classifier(name).unwrap().options_string();
+            for d in make_classifier(name).unwrap().option_descriptors() {
+                let value = non_default(&d);
+                let tuned = configured(name, &format!("{} {value}", d.flag))
+                    .unwrap_or_else(|e| panic!("{name} {} {value}: {e}", d.flag));
+                assert_ne!(tuned.options_string(), defaults, "{name} {}", d.flag);
+            }
+        }
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! algorithm, and options have not changed (re-enacting the §5 case
 //! study, re-running `classifyGraph` on the model `classifyInstance`
 //! just built, …). [`ModelCache`] keys trained classifiers by
-//! *(algorithm, options, class attribute, dataset content hash)* so a
-//! repeat request reuses the model instead of retraining, and keeps a
-//! parallel cache of cross-validation summaries (which train k models
-//! per call and therefore gain even more).
+//! *(algorithm, canonical options, class attribute, dataset content
+//! hash)* so a repeat request reuses the model instead of retraining,
+//! and keeps a parallel cache of cross-validation summaries (which
+//! train k models per call and therefore gain even more).
 
 use dm_algorithms::classifiers::Classifier;
 use dm_wsrf::dataplane::{CacheStats, Hasher128, LruMap};
@@ -35,6 +35,11 @@ fn write_field(h: &mut Hasher128, field: &str) {
 /// Cache key for a trained model: algorithm, options, class attribute,
 /// and the dataset *content* (length-prefixed fields, so reshuffling
 /// bytes between fields cannot collide).
+///
+/// `options` should be the configured classifier's canonical
+/// `options_string()` (every option, in descriptor order), not the
+/// options text a caller sent: `""` and an explicit defaults string
+/// then share one key, while any differing value still gets its own.
 pub fn model_key(classifier: &str, options: &str, attribute: &str, dataset: &str) -> u128 {
     let mut h = Hasher128::new();
     write_field(&mut h, classifier);
@@ -44,8 +49,8 @@ pub fn model_key(classifier: &str, options: &str, attribute: &str, dataset: &str
     h.finish()
 }
 
-/// Cache key for a cross-validation summary: the model key plus the
-/// fold count.
+/// Cache key for a cross-validation summary: the model key (over the
+/// same canonical options) plus the fold count.
 pub fn eval_key(
     classifier: &str,
     options: &str,
