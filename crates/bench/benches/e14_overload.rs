@@ -16,7 +16,7 @@
 //! closed-loop benchmarks under-report tail latency.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dm_bench::banner;
+use dm_bench::{banner, quantile, sorted};
 use dm_wsrf::container::{CapacityConfig, ServiceFault};
 use dm_wsrf::soap::SoapValue;
 use dm_wsrf::transport::Network;
@@ -101,17 +101,6 @@ fn drive(net: &Network, requests: u32) -> (Vec<Duration>, u64) {
 
 /// Nearest-rank quantile over raw samples (the exported histogram's
 /// top bucket saturates at 10 s, useless for an unbounded queue).
-fn quantile(sorted: &[Duration], q: f64) -> Duration {
-    assert!(!sorted.is_empty());
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-fn sorted(mut v: Vec<Duration>) -> Vec<Duration> {
-    v.sort_unstable();
-    v
-}
-
 fn bench(c: &mut Criterion) {
     banner(
         "E14",

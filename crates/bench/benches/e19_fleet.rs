@@ -23,7 +23,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dm_algorithms::classifiers::{Classifier, J48};
-use dm_bench::banner;
+use dm_bench::{banner, quantile, sorted};
 use dm_data::corpus::nominal_classification;
 use dm_data::Dataset;
 use dm_wsrf::container::{CapacityConfig, ServiceFault, WebService};
@@ -210,17 +210,6 @@ fn drive(net: &Network, fleet: &Fleet, requests: u32) -> RunResult {
 }
 
 /// Nearest-rank quantile over raw samples.
-fn quantile(sorted: &[Duration], q: f64) -> Duration {
-    assert!(!sorted.is_empty());
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-fn sorted(mut v: Vec<Duration>) -> Vec<Duration> {
-    v.sort_unstable();
-    v
-}
-
 /// Assert two runs agree on every commonly-served request and return
 /// how many requests both served.
 fn assert_outputs_agree(a: &[Option<i64>], b: &[Option<i64>], what: &str) -> usize {

@@ -35,7 +35,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dm_algorithms::classifiers::{Classifier, J48};
 use dm_algorithms::pool::{parallel_map, with_threads};
-use dm_bench::banner;
+use dm_bench::{banner, quantile, sorted};
 use dm_data::corpus::nominal_classification;
 use dm_data::Dataset;
 use dm_workflow::planner::{Goal, GoalStep, Planner};
@@ -459,17 +459,6 @@ fn drive(arrivals: u32, strategy: Strategy, slow_last: bool) -> RunResult {
 }
 
 /// Nearest-rank quantile over raw samples.
-fn quantile(sorted: &[Duration], q: f64) -> Duration {
-    assert!(!sorted.is_empty());
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-fn sorted(mut v: Vec<Duration>) -> Vec<Duration> {
-    v.sort_unstable();
-    v
-}
-
 /// Perceived-latency distribution: served chain makespans plus the
 /// fixed retry-later penalty for every shed arrival.
 fn perceived(run: &RunResult) -> Vec<Duration> {

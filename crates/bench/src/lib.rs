@@ -6,6 +6,7 @@
 //! doubles as the EXPERIMENTS.md evidence.
 
 use dm_wsrf::soap::SoapValue;
+use std::time::Duration;
 
 /// The case-study dataset as ARFF text (cached per process).
 pub fn breast_cancer_arff() -> &'static str {
@@ -31,4 +32,18 @@ pub fn banner(id: &str, what: &str) {
     println!("\n================================================================");
     println!("{id}: {what}");
     println!("================================================================");
+}
+
+/// The `q`-quantile of an ascending sample by the nearest-rank method
+/// (rank `ceil(q·n)`, clamped to `1..=n`). Panics on an empty sample.
+pub fn quantile(sorted: &[Duration], q: f64) -> Duration {
+    assert!(!sorted.is_empty());
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
+/// `v` sorted ascending, ready for [`quantile`].
+pub fn sorted(mut v: Vec<Duration>) -> Vec<Duration> {
+    v.sort_unstable();
+    v
 }

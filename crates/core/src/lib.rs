@@ -61,8 +61,7 @@ pub mod prelude {
         J48Client,
     };
     pub use dm_workflow::prelude::{
-        import_wsdl, ExecutionMode, ExecutionReport, Executor, RetryPolicy, TaskGraph, Token, Tool,
-        Toolbox,
+        import_wsdl, ExecutionReport, Executor, RetryPolicy, TaskGraph, Token, Tool, Toolbox,
     };
     pub use dm_wsrf::prelude::{
         BreakerBoard, BreakerConfig, BreakerState, CircuitBreaker, ResiliencePolicy,

@@ -1,23 +1,18 @@
-//! Durable enactment: an orchestrator / worker-pool split over the
-//! run journal, with crash injection and resume-from-log recovery.
+//! Durable enactment: the engine's frontier scheduler
+//! ([`crate::engine`]) journaling every state transition to a
+//! [`RunJournal`], with crash injection and resume-from-log recovery.
 //!
-//! The engine's in-memory modes ([`Executor::run`]) lose the whole run
-//! when the enacting process dies — unacceptable for the paper's
-//! long-running distributed mining jobs. Durable mode splits the
-//! engine in two:
-//!
-//! * the **orchestrator** (the calling thread) owns the graph logic:
-//!   it replays the [`RunJournal`] to reconstruct the remaining-work
-//!   frontier (completed tasks are restored, **not** re-executed;
-//!   failed tasks block only their downstream cone, independent
-//!   branches continue), dispatches ready tasks to the worker pool
-//!   with claim/ack job-queue semantics, and is the only writer of the
-//!   journal;
-//! * the **workers** (scoped threads) execute tools via the engine's
-//!   retry machinery and report each claim's outcome. A worker that
-//!   dies mid-claim never acks, and the orchestrator redelivers the
-//!   task under a fresh claim — at-least-once execution, exactly-once
-//!   recording.
+//! [`Executor::run`] loses the whole run when the enacting process
+//! dies — unacceptable for the paper's long-running distributed mining
+//! jobs. [`Executor::run_durable`] drives the same orchestrator loop,
+//! which then journals each dispatch and each acknowledged claim. The
+//! journal is replayed first to rebuild the remaining-work frontier:
+//! completed tasks are restored, **not** re-executed, and journaled
+//! failures stay terminal. A failure blocks only its downstream cone,
+//! and events are flushed in `(tick, task id)` order. A worker that
+//! dies mid-claim never acks, and the orchestrator redelivers the task
+//! under a fresh claim — at-least-once execution, exactly-once
+//! recording.
 //!
 //! Crash injection wires into the fault engine
 //! ([`dm_wsrf::resilience::CrashScript`]): scripted orchestrator
@@ -30,19 +25,16 @@
 //! [`canonical bytes`](ExecutionReport::canonical_bytes) are identical
 //! to an uninterrupted run's.
 
-use crate::engine::{ExecutionReport, Executor, ProgressEvent, TaskRun};
+use crate::engine::{
+    Bindings, Entry, ExecutionReport, Executor, Frontier, Policy, Status, TaskRun,
+};
 use crate::error::{Result, WorkflowError};
 use crate::graph::{TaskGraph, TaskId, Token};
-use crate::journal::{RunEvent, RunJournal};
+use crate::journal::{canonical_token_bytes, RunEvent, RunJournal};
 use dm_wsrf::resilience::CrashScript;
-use dm_wsrf::trace::SpanKind;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Sentinel task id telling a worker to exit.
-const POISON: TaskId = usize::MAX;
+use std::time::Duration;
 
 /// Configuration for one durable enactment: the journal to append to
 /// (and resume from), the worker-pool width, and optional scripted
@@ -130,112 +122,154 @@ impl DurableConfig {
     pub fn workers(&self) -> usize {
         self.workers
     }
+
+    /// Whether the worker that just finished claim `claim` at simulated
+    /// instant `tick` dies instead of acking it. The thread itself keeps
+    /// serving — it models a restarted worker.
+    pub(crate) fn worker_dies(&self, claim: u64, tick: Duration) -> bool {
+        self.worker_crash
+            .as_ref()
+            .is_some_and(|s| s.poll_kill(tick))
+            || self.kill_worker_on_claim == Some(claim)
+    }
 }
 
-/// A dispatched claim: the job queue carries `(claim, task)` and the
-/// orchestrator only trusts outcomes whose claim is still current.
-struct Job {
-    claim: u64,
-    task: TaskId,
-}
-
-/// What a worker did with a claim.
-enum Outcome {
-    /// The claim is acked: the task ran to a terminal result.
-    Finished {
-        result: std::result::Result<Vec<Token>, String>,
-        run: TaskRun,
-        events: Vec<ProgressEvent>,
-        tick: Duration,
-    },
-    /// The worker died mid-claim (scripted): no ack, results discarded.
-    Died,
-}
-
-struct Done {
-    claim: u64,
-    task: TaskId,
-    outcome: Outcome,
-}
-
-/// Orchestrator-side task lifecycle.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Runnable,
-    Completed,
-    Failed,
-    Blocked,
-}
-
-/// The orchestrator's journal writer: counts this-process appends and
-/// enforces the append-count kill point.
-struct Appender<'a> {
-    journal: &'a RunJournal,
+/// The durable enactment's journal sink. The orchestrator is its only
+/// writer; it counts this process's appends and fires the scripted
+/// orchestrator kill points.
+pub(crate) struct Appender<'a> {
+    pub(crate) config: &'a DurableConfig,
     appended: u64,
-    kill_after: Option<u64>,
+    /// Run identity stamped on the run-started record.
+    identity: u128,
+    /// Whether the journal already holds the run-started and the
+    /// run-finished record.
+    started: bool,
+    finished: bool,
 }
 
-impl Appender<'_> {
+impl<'a> Appender<'a> {
     fn append(&mut self, event: &RunEvent) -> Result<()> {
-        self.journal.append(event);
+        self.config.journal.append(event);
         self.appended += 1;
-        if self.kill_after == Some(self.appended) {
+        if self.config.kill_after_appends == Some(self.appended) {
             return Err(WorkflowError::Crashed {
                 appended: self.appended,
             });
         }
         Ok(())
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    appender: &mut Appender<'_>,
-    claims: &mut HashMap<TaskId, u64>,
-    next_claim: &mut u64,
-    job_tx: &crossbeam::channel::Sender<Job>,
-    in_flight: &mut usize,
-    graph: &TaskGraph,
-    task: TaskId,
-) -> Result<()> {
-    // Journal the dispatch first: a crash between this append and the
-    // task's completion record is the mid-task kill point — on resume
-    // the started-but-never-completed task is simply re-executed.
-    appender.append(&RunEvent::TaskStarted {
-        task,
-        name: graph.task(task)?.name.clone(),
-    })?;
-    let claim = *next_claim;
-    *next_claim += 1;
-    claims.insert(task, claim);
-    let _ = job_tx.send(Job { claim, task });
-    *in_flight += 1;
-    Ok(())
-}
+    pub(crate) fn run_started(&mut self, tasks: usize) -> Result<()> {
+        if self.started {
+            return Ok(());
+        }
+        self.append(&RunEvent::RunStarted {
+            tasks,
+            fingerprint: self.identity,
+        })
+    }
 
-/// Mark every not-yet-resolved descendant of `task` blocked: a failed
-/// node poisons only its downstream cone; independent branches keep
-/// running.
-fn block_cone(graph: &TaskGraph, status: &mut [Status], task: TaskId) {
-    let mut queue = vec![task];
-    while let Some(t) = queue.pop() {
-        for c in graph.cables() {
-            if c.from_task == t && status[c.to_task] == Status::Runnable {
-                status[c.to_task] = Status::Blocked;
-                queue.push(c.to_task);
+    /// Journal a dispatch. A crash between this append and the task's
+    /// acknowledgement is the mid-task kill point: on resume the
+    /// started-but-never-completed task is simply re-executed.
+    pub(crate) fn task_started(&mut self, graph: &TaskGraph, task: TaskId) -> Result<()> {
+        let name = graph.task(task)?.name.clone();
+        self.append(&RunEvent::TaskStarted { task, name })
+    }
+
+    /// Journal an acknowledged claim, after polling the scripted
+    /// orchestrator crash on the virtual clock.
+    pub(crate) fn task_acked(
+        &mut self,
+        exec: &Executor,
+        graph: &TaskGraph,
+        task: TaskId,
+        result: &std::result::Result<Vec<Token>, String>,
+        run: &TaskRun,
+    ) -> Result<()> {
+        if let Some(script) = &self.config.orchestrator_crash {
+            if script.poll_kill(exec.virtual_now()) {
+                return Err(WorkflowError::Crashed {
+                    appended: self.appended,
+                });
             }
         }
+        let name = graph.task(task)?.name.clone();
+        match result {
+            Ok(outputs) => {
+                if run.sheds > 0 {
+                    self.append(&RunEvent::TaskShed {
+                        task,
+                        name: name.clone(),
+                        sheds: run.sheds,
+                    })?;
+                }
+                self.append(&RunEvent::TaskCompleted {
+                    task,
+                    name,
+                    attempts: run.attempts,
+                    virtual_nanos: run.virtual_duration.as_nanos() as u64,
+                    cached: run.cached,
+                    sheds: run.sheds,
+                    outputs: outputs.clone(),
+                })
+            }
+            Err(message) => self.append(&RunEvent::TaskFailed {
+                task,
+                name,
+                message: message.clone(),
+            }),
+        }
+    }
+
+    pub(crate) fn run_finished(&mut self, tasks: usize, elapsed: Duration) -> Result<()> {
+        if self.finished {
+            return Ok(());
+        }
+        self.append(&RunEvent::RunFinished {
+            tasks,
+            virtual_nanos: elapsed.as_nanos() as u64,
+        })
+    }
+}
+
+/// The identity a durable run is journaled under: the graph's
+/// structural fingerprint hashed together with every binding, in
+/// `(task, port)` order. A journal resumes only the run that wrote it —
+/// the same workflow fed the same inputs.
+fn run_identity(graph: &TaskGraph, bindings: &Bindings) -> u128 {
+    let mut keys: Vec<_> = bindings.keys().copied().collect();
+    keys.sort_unstable();
+    let mut bytes = graph.structure_fingerprint().to_le_bytes().to_vec();
+    for (task, port) in keys {
+        bytes.extend_from_slice(format!("b {task} {port} ").as_bytes());
+        canonical_token_bytes(&mut bytes, &bindings[&(task, port)]);
+        bytes.push(b'\n');
+    }
+    let mut h = dm_wsrf::dataplane::Hasher128::new();
+    h.write(&bytes);
+    h.finish()
+}
+
+/// The run record of a task restored from the journal.
+fn restored(task: TaskId, run: TaskRun) -> Entry {
+    Entry {
+        tick: Duration::ZERO,
+        task,
+        events: Vec::new(),
+        run,
     }
 }
 
 impl Executor {
     /// Enact `graph` durably: journal every state transition to
-    /// `config.journal()`, executing on a claim/ack worker pool. If the
-    /// journal already holds a prefix of this workflow's history, the
-    /// enactment **resumes**: completed tasks are restored from the log
-    /// (zero re-execution, counted as replay hits), failed tasks stay
-    /// terminal with their downstream cones blocked, and only the
-    /// remaining frontier runs.
+    /// `config.journal()`, executing on a claim/ack worker pool of
+    /// `config.workers()` (inline at one). If the journal already holds
+    /// a prefix of this run's history, the enactment **resumes**:
+    /// completed tasks are restored from the log (zero re-execution,
+    /// counted as replay hits), failed tasks stay terminal with their
+    /// downstream cones blocked, and only the remaining frontier runs.
     ///
     /// Unlike [`Executor::run`], task failure is not fatal to the
     /// enactment: the run continues on independent branches and the
@@ -246,388 +280,77 @@ impl Executor {
     /// Returns [`WorkflowError::Crashed`] when a scripted crash kills
     /// the orchestrator (the journal keeps everything appended before
     /// the kill), and [`WorkflowError::JournalMismatch`] when the
-    /// journal belongs to a different workflow.
+    /// journal belongs to a different run: another workflow, or the
+    /// same workflow with different bindings.
     pub fn run_durable(
         &self,
         graph: &TaskGraph,
         bindings: &HashMap<(TaskId, usize), Token>,
         config: &DurableConfig,
     ) -> Result<ExecutionReport> {
-        // Validate that every input is fed, exactly as `run` does.
-        for t in 0..graph.num_tasks() {
-            for (port, spec) in graph.unconnected_inputs(t)? {
-                if !bindings.contains_key(&(t, port)) {
-                    return Err(WorkflowError::UnboundInput {
-                        task: graph.task(t)?.name.clone(),
-                        port: spec.name,
-                    });
-                }
-            }
-        }
-        let order = graph.topological_order()?;
-        let n = graph.num_tasks();
-        let fingerprint = graph.structure_fingerprint();
-        let journal = config.journal.as_ref();
-
-        // Replay: reconstruct the frontier from the journal.
+        let policy = Policy {
+            workers: config.workers,
+            fail_fast: false,
+            buffered: true,
+        };
+        let mut frontier = Frontier::new(graph, bindings, policy)?;
+        let identity = run_identity(graph, bindings);
+        let journal = &config.journal;
         let replay = journal.replay();
-        if let Some((_, journal_fp)) = replay.started {
-            if journal_fp != fingerprint {
-                return Err(WorkflowError::JournalMismatch {
-                    journal: journal_fp,
-                    graph: fingerprint,
-                });
-            }
+        if let Some((_, recorded)) = replay.started.filter(|s| s.1 != identity) {
+            return Err(WorkflowError::JournalMismatch {
+                journal: recorded,
+                graph: identity,
+            });
         }
         journal.note_replay_hits(replay.completed.len() as u64);
 
-        let start = Instant::now();
-        let vstart = self.virtual_now();
-        self.emit(ProgressEvent::RunStarted { tasks: n });
-        let mut root_span = self.tracer.as_ref().map(|t| {
-            let mut span = t.start_span("durable-workflow", SpanKind::Workflow, None);
-            span.set_attr("tasks", n.to_string());
-            span.set_attr("replayed", replay.completed.len().to_string());
-            span
-        });
-        let root = root_span.as_ref().map(|s| s.ctx());
-
-        let mut appender = Appender {
-            journal,
-            appended: 0,
-            kill_after: config.kill_after_appends,
-        };
-        let crash_check = |appender: &Appender<'_>| -> Result<()> {
-            if let Some(script) = &config.orchestrator_crash {
-                if script.poll_kill(self.virtual_now()) {
-                    return Err(WorkflowError::Crashed {
-                        appended: appender.appended,
-                    });
-                }
-            }
-            Ok(())
-        };
-
-        // Restore produced tokens from replayed completions.
-        let mut produced_map: HashMap<(TaskId, usize), Token> = HashMap::new();
-        for (&task, replayed) in &replay.completed {
-            for (port, token) in replayed.outputs.iter().enumerate() {
-                produced_map.insert((task, port), token.clone());
-            }
+        // Restore the frontier: completed tasks with their outputs,
+        // journaled failures as terminal.
+        for (task, replayed) in replay.completed {
+            frontier.status[task] = Status::Completed;
+            frontier.produced[task] = Some(replayed.outputs);
+            let run = TaskRun {
+                attempts: replayed.attempts,
+                virtual_duration: Duration::from_nanos(replayed.virtual_nanos),
+                sheds: replayed.sheds,
+                cached: replayed.cached,
+                replayed: true,
+                ..TaskRun::blank(replayed.name)
+            };
+            frontier.runs.push(restored(task, run));
+        }
+        for (task, (name, message)) in replay.failed {
+            frontier.status[task] = Status::Failed;
+            let run = TaskRun {
+                replayed: true,
+                error: Some(message),
+                ..TaskRun::blank(name)
+            };
+            frontier.runs.push(restored(task, run));
         }
         // Repopulate the memo cache from replayed pure tasks, in
         // topological order, so memo hits survive recovery: re-executed
         // downstream work (and future warm runs) still find them.
         if let Some(memo) = &self.memo {
-            for &task in &order {
-                let Some(replayed) = replay.completed.get(&task) else {
+            for task in graph.topological_order()? {
+                let Some(outputs) = &frontier.produced[task] else {
                     continue;
                 };
-                let inputs_ready = graph
-                    .cables()
-                    .iter()
-                    .filter(|c| c.to_task == task)
-                    .all(|c| replay.completed.contains_key(&c.from_task));
-                if inputs_ready {
-                    let inputs = Self::gather_inputs(graph, task, bindings, &produced_map);
-                    memo.populate(
-                        graph.task(task)?.tool.as_ref(),
-                        &inputs,
-                        replayed.outputs.clone(),
-                    );
+                if let Some(inputs) = frontier.inputs(task) {
+                    memo.populate(graph.task(task)?.tool.as_ref(), &inputs, outputs.clone());
                 }
             }
         }
 
-        // Frontier: completed tasks are done, journaled failures stay
-        // terminal and block their cones, the rest is runnable.
-        let mut status = vec![Status::Runnable; n];
-        for &task in replay.completed.keys() {
-            status[task] = Status::Completed;
-        }
-        for &task in replay.failed.keys() {
-            status[task] = Status::Failed;
-        }
-        for &task in replay.failed.keys() {
-            block_cone(graph, &mut status, task);
-        }
-        let mut indegree = vec![0usize; n];
-        for c in graph.cables() {
-            if status[c.to_task] == Status::Runnable && status[c.from_task] != Status::Completed {
-                indegree[c.to_task] += 1;
-            }
-        }
-
-        if replay.started.is_none() {
-            appender.append(&RunEvent::RunStarted {
-                tasks: n,
-                fingerprint,
-            })?;
-        }
-
-        let produced = Mutex::new(produced_map);
-        let budget = Mutex::new(self.policy.retry_budget);
-        let workers = config.workers.max(1).min(n.max(1));
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job>();
-        let (done_tx, done_rx) = crossbeam::channel::unbounded::<Done>();
-
-        type Fresh = (TaskId, TaskRun, Vec<ProgressEvent>, Duration);
-        let outcome: Result<Vec<Fresh>> = crossbeam::scope(|scope| {
-            for _ in 0..workers {
-                let job_rx = job_rx.clone();
-                let done_tx = done_tx.clone();
-                let produced = &produced;
-                let budget = &budget;
-                scope.spawn(move |_| {
-                    while let Ok(job) = job_rx.recv() {
-                        if job.task == POISON {
-                            break;
-                        }
-                        let inputs = {
-                            let produced = produced.lock();
-                            Self::gather_inputs(graph, job.task, bindings, &produced)
-                        };
-                        let events = Mutex::new(Vec::new());
-                        let (result, run) =
-                            self.execute_task(graph, job.task, &inputs, budget, root, &|e| {
-                                events.lock().push(e)
-                            });
-                        let tick = self.virtual_now();
-                        // Scripted worker death: the finished claim is
-                        // discarded without an ack, so the orchestrator
-                        // must redeliver. The thread itself keeps
-                        // serving — it models a restarted worker.
-                        let died = config
-                            .worker_crash
-                            .as_ref()
-                            .is_some_and(|s| s.poll_kill(tick))
-                            || config.kill_worker_on_claim == Some(job.claim);
-                        let outcome = if died {
-                            Outcome::Died
-                        } else {
-                            Outcome::Finished {
-                                result,
-                                run,
-                                events: events.into_inner(),
-                                tick,
-                            }
-                        };
-                        let _ = done_tx.send(Done {
-                            claim: job.claim,
-                            task: job.task,
-                            outcome,
-                        });
-                    }
-                });
-            }
-            drop(done_tx);
-
-            // ---- orchestrator ----------------------------------------
-            let mut run_loop = || -> Result<Vec<Fresh>> {
-                let mut fresh: Vec<Fresh> = Vec::new();
-                let mut claims: HashMap<TaskId, u64> = HashMap::new();
-                let mut next_claim = 1u64;
-                let mut in_flight = 0usize;
-                for task in 0..n {
-                    if status[task] == Status::Runnable && indegree[task] == 0 {
-                        dispatch(
-                            &mut appender,
-                            &mut claims,
-                            &mut next_claim,
-                            &job_tx,
-                            &mut in_flight,
-                            graph,
-                            task,
-                        )?;
-                    }
-                }
-                while in_flight > 0 {
-                    let done = done_rx.recv().expect("workers hold the sender");
-                    if claims.get(&done.task) != Some(&done.claim) {
-                        continue; // stale claim: already redelivered
-                    }
-                    match done.outcome {
-                        Outcome::Died => {
-                            // No ack: redeliver under a fresh claim.
-                            journal.note_redelivery();
-                            in_flight -= 1;
-                            dispatch(
-                                &mut appender,
-                                &mut claims,
-                                &mut next_claim,
-                                &job_tx,
-                                &mut in_flight,
-                                graph,
-                                done.task,
-                            )?;
-                        }
-                        Outcome::Finished {
-                            result,
-                            run,
-                            events,
-                            tick,
-                        } => {
-                            crash_check(&appender)?;
-                            claims.remove(&done.task);
-                            in_flight -= 1;
-                            let task = done.task;
-                            let name = graph.task(task)?.name.clone();
-                            match result {
-                                Ok(outputs) => {
-                                    if run.sheds > 0 {
-                                        appender.append(&RunEvent::TaskShed {
-                                            task,
-                                            name: name.clone(),
-                                            sheds: run.sheds,
-                                        })?;
-                                    }
-                                    appender.append(&RunEvent::TaskCompleted {
-                                        task,
-                                        name,
-                                        attempts: run.attempts,
-                                        virtual_nanos: run.virtual_duration.as_nanos() as u64,
-                                        cached: run.cached,
-                                        sheds: run.sheds,
-                                        outputs: outputs.clone(),
-                                    })?;
-                                    {
-                                        let mut produced = produced.lock();
-                                        for (port, token) in outputs.into_iter().enumerate() {
-                                            produced.insert((task, port), token);
-                                        }
-                                    }
-                                    status[task] = Status::Completed;
-                                    fresh.push((task, run, events, tick));
-                                    for c in graph.cables() {
-                                        if c.from_task == task
-                                            && status[c.to_task] == Status::Runnable
-                                        {
-                                            indegree[c.to_task] -= 1;
-                                            if indegree[c.to_task] == 0 {
-                                                dispatch(
-                                                    &mut appender,
-                                                    &mut claims,
-                                                    &mut next_claim,
-                                                    &job_tx,
-                                                    &mut in_flight,
-                                                    graph,
-                                                    c.to_task,
-                                                )?;
-                                            }
-                                        }
-                                    }
-                                }
-                                Err(message) => {
-                                    appender.append(&RunEvent::TaskFailed {
-                                        task,
-                                        name,
-                                        message,
-                                    })?;
-                                    status[task] = Status::Failed;
-                                    fresh.push((task, run, events, tick));
-                                    block_cone(graph, &mut status, task);
-                                }
-                            }
-                        }
-                    }
-                }
-                if !replay.finished {
-                    let recorded = status
-                        .iter()
-                        .filter(|s| matches!(s, Status::Completed | Status::Failed))
-                        .count();
-                    appender.append(&RunEvent::RunFinished {
-                        tasks: recorded,
-                        virtual_nanos: self.virtual_now().saturating_sub(vstart).as_nanos() as u64,
-                    })?;
-                }
-                Ok(fresh)
-            };
-            let outcome = run_loop();
-            // Terminate the pool on every exit path, crash included.
-            for _ in 0..workers {
-                let _ = job_tx.send(Job {
-                    claim: 0,
-                    task: POISON,
-                });
-            }
-            drop(job_tx);
-            outcome
-        })
-        .expect("durable worker panicked");
-
-        let fresh = match outcome {
-            Ok(fresh) => fresh,
-            Err(e) => {
-                if let Some(span) = root_span.as_mut() {
-                    span.set_error(e.to_string());
-                }
-                return Err(e);
-            }
-        };
-
-        // Build the report: replayed runs (restored, zero re-execution)
-        // plus fresh runs, in the deterministic (tick, task id) order.
-        let mut entries: Vec<Fresh> = Vec::new();
-        for (&task, replayed) in &replay.completed {
-            entries.push((
-                task,
-                TaskRun {
-                    task: replayed.name.clone(),
-                    attempts: replayed.attempts,
-                    duration: Duration::ZERO,
-                    virtual_duration: Duration::from_nanos(replayed.virtual_nanos),
-                    backoff: Duration::ZERO,
-                    sheds: replayed.sheds,
-                    cached: replayed.cached,
-                    replayed: true,
-                    error: None,
-                },
-                Vec::new(),
-                Duration::ZERO,
-            ));
-        }
-        for (&task, (name, message)) in &replay.failed {
-            entries.push((
-                task,
-                TaskRun {
-                    task: name.clone(),
-                    attempts: 0,
-                    duration: Duration::ZERO,
-                    virtual_duration: Duration::ZERO,
-                    backoff: Duration::ZERO,
-                    sheds: 0,
-                    cached: false,
-                    replayed: true,
-                    error: Some(message.clone()),
-                },
-                Vec::new(),
-                Duration::ZERO,
-            ));
-        }
-        entries.extend(fresh);
-        entries.sort_by_key(|e| (e.3, e.0));
-        for (_, _, events, _) in &entries {
-            for event in events {
-                self.emit(event.clone());
-            }
-        }
-
-        let mut report = ExecutionReport {
-            runs: entries.into_iter().map(|(_, run, _, _)| run).collect(),
-            ..ExecutionReport::default()
-        };
-        let produced = produced.into_inner();
-        self.collect_outputs(graph, &produced, &mut report)?;
-        report.elapsed = start.elapsed();
-        report.virtual_elapsed = self.virtual_now().saturating_sub(vstart);
-        report.retry_budget_remaining = budget.into_inner();
-        self.emit(ProgressEvent::RunFinished {
-            tasks: report.runs.len(),
-            elapsed: report.elapsed,
-            virtual_elapsed: report.virtual_elapsed,
+        frontier.journal = Some(Appender {
+            config,
+            appended: 0,
+            identity,
+            started: replay.started.is_some(),
+            finished: replay.finished,
         });
-        Ok(report)
+        self.enact(frontier)
     }
 }
 
@@ -839,5 +562,63 @@ mod tests {
             .unwrap();
         let plain = Executor::parallel().run(&g, &HashMap::new()).unwrap();
         assert_eq!(resumed.canonical_bytes(), plain.canonical_bytes());
+    }
+
+    #[test]
+    fn reused_journal_with_other_bindings_is_rejected() {
+        // A journal resumes only the run that wrote it: the same graph
+        // fed a different input must not replay the first run's outputs.
+        let mut g = TaskGraph::new();
+        let up = g.add_task(Arc::new(Upper));
+        let bind = |text: &str| HashMap::from([((up, 0), Token::Text(text.into()))]);
+        let journal = Arc::new(RunJournal::new());
+        let config = DurableConfig::new(Arc::clone(&journal));
+        let first = Executor::serial()
+            .run_durable(&g, &bind("a"), &config)
+            .unwrap();
+        assert_eq!(first.output(up, 0), Some(&Token::Text("A".into())));
+
+        let err = Executor::serial()
+            .run_durable(&g, &bind("b"), &config)
+            .unwrap_err();
+        assert!(
+            matches!(err, WorkflowError::JournalMismatch { .. }),
+            "{err}"
+        );
+        let fresh = Executor::serial().run(&g, &bind("b")).unwrap();
+        assert_eq!(fresh.output(up, 0), Some(&Token::Text("B".into())));
+
+        // The same bindings still resume from the log.
+        let resumed = Executor::serial()
+            .run_durable(&g, &bind("a"), &config)
+            .unwrap();
+        assert_eq!(resumed.replay_hits(), 1);
+        assert_eq!(resumed.canonical_bytes(), first.canonical_bytes());
+    }
+
+    #[test]
+    fn inline_worker_death_redelivers_once() {
+        // One worker runs every claim on the calling thread; a scripted
+        // death there must still redeliver the claim exactly once.
+        let g = diamond();
+        let journal = Arc::new(RunJournal::new());
+        let report = Executor::serial()
+            .run_durable(
+                &g,
+                &HashMap::new(),
+                &DurableConfig::new(Arc::clone(&journal))
+                    .with_workers(1)
+                    .with_kill_worker_on_claim(2),
+            )
+            .unwrap();
+        assert_eq!(journal.stats().redeliveries, 1);
+        let plain = Executor::serial().run(&g, &HashMap::new()).unwrap();
+        assert_eq!(report.canonical_bytes(), plain.canonical_bytes());
+        let starts = journal
+            .events()
+            .iter()
+            .filter(|e| matches!(e, RunEvent::TaskStarted { .. }))
+            .count();
+        assert_eq!(starts, 5);
     }
 }

@@ -1,28 +1,29 @@
-//! Workflow enactment: serial and parallel executors with per-task
-//! retry (the fault-tolerance requirement: "the framework must …
-//! include the ability to complete the task if a fault occurs by moving
-//! the job to another resource", §3 — the moving itself is implemented
-//! by [`crate::wsimport::WsTool`] host failover; the engine contributes
-//! bounded retries and failure accounting).
+//! Workflow enactment: one remaining-work-frontier scheduler behind
+//! [`Executor::run`] and [`Executor::run_durable`], with per-task retry
+//! (the fault-tolerance requirement: "the framework must … include the
+//! ability to complete the task if a fault occurs by moving the job to
+//! another resource", §3 — the moving itself is [`crate::wsimport::WsTool`]
+//! host failover; the engine contributes bounded retries and failure
+//! accounting).
+//!
+//! The calling thread orchestrates: it keeps each task's indegree and
+//! status, dispatches ready tasks as numbered claims, and alone
+//! acknowledges their results. One worker runs each claim inline, in
+//! [`TaskGraph::topological_order`]; wider pools hand claims to scoped
+//! workers. `run` and `run_durable` differ only in the journal sink,
+//! the failure policy, and whether events are delivered live.
 
+use crate::durable::Appender;
 use crate::error::{Result, WorkflowError};
 use crate::graph::{TaskGraph, TaskId, Token};
 use crate::memo::MemoCache;
 use dm_wsrf::resilience::{BackoffSchedule, ResiliencePolicy};
 use dm_wsrf::trace::{SpanContext, SpanKind, Tracer};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Serial or parallel enactment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// Topological order on the calling thread.
-    Serial,
-    /// Ready tasks run concurrently on scoped threads.
-    Parallel,
-}
 
 /// Retry behaviour for the executor: a per-task attempt ceiling plus
 /// exponential backoff between attempts and an optional per-workflow
@@ -67,6 +68,8 @@ pub type BackoffSink = std::sync::Arc<dyn Fn(Duration) + Send + Sync>;
 /// `Instant` readings say nothing about a simulation that never sleeps.
 pub type ClockSource = std::sync::Arc<dyn Fn() -> Duration + Send + Sync>;
 
+/// Input bindings: `(task, port) → token` for unconnected input ports.
+pub(crate) type Bindings = HashMap<(TaskId, usize), Token>;
 /// Per-task record in an [`ExecutionReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskRun {
@@ -111,6 +114,23 @@ pub struct ExecutionReport {
     pub virtual_elapsed: Duration,
     /// Retries left in the run's shared budget (`None` = unlimited).
     pub retry_budget_remaining: Option<usize>,
+}
+
+impl TaskRun {
+    /// A record for `task` with no attempts, time, sheds or error.
+    pub(crate) fn blank(task: String) -> TaskRun {
+        TaskRun {
+            task,
+            attempts: 0,
+            duration: Duration::ZERO,
+            virtual_duration: Duration::ZERO,
+            backoff: Duration::ZERO,
+            sheds: 0,
+            cached: false,
+            replayed: false,
+            error: None,
+        }
+    }
 }
 
 impl ExecutionReport {
@@ -245,14 +265,15 @@ pub enum ProgressEvent {
     },
 }
 
-/// Listener callback for [`ProgressEvent`]s. Shared across worker
-/// threads in parallel mode.
+/// Listener callback for [`ProgressEvent`]s. Under live delivery, pool
+/// workers call it from their own threads.
 pub type ProgressListener = std::sync::Arc<dyn Fn(ProgressEvent) + Send + Sync>;
 
 /// The workflow executor.
 #[derive(Clone)]
 pub struct Executor {
-    pub(crate) mode: ExecutionMode,
+    /// Pool width for [`Executor::run`]; 1 runs every task inline.
+    pub(crate) workers: usize,
     pub(crate) policy: RetryPolicy,
     pub(crate) backoff_sink: Option<BackoffSink>,
     pub(crate) clock: Option<ClockSource>,
@@ -265,7 +286,7 @@ pub struct Executor {
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
-            .field("mode", &self.mode)
+            .field("workers", &self.workers)
             .field("policy", &self.policy)
             .field("backoff_sink", &self.backoff_sink.is_some())
             .field("clock", &self.clock.is_some())
@@ -278,10 +299,11 @@ impl std::fmt::Debug for Executor {
 }
 
 impl Executor {
-    /// Create a serial executor without retries.
+    /// Create a serial executor without retries: tasks run one at a
+    /// time on the calling thread, in [`TaskGraph::topological_order`].
     pub fn serial() -> Executor {
         Executor {
-            mode: ExecutionMode::Serial,
+            workers: 1,
             policy: RetryPolicy::default(),
             backoff_sink: None,
             clock: None,
@@ -292,10 +314,13 @@ impl Executor {
         }
     }
 
-    /// Create a parallel executor without retries.
+    /// Create a parallel executor without retries: ready tasks run
+    /// concurrently on one scoped worker per available core, at least
+    /// two (so a one-core host still gets a pool rather than the serial
+    /// path) and never more than the graph has tasks.
     pub fn parallel() -> Executor {
         Executor {
-            mode: ExecutionMode::Parallel,
+            workers: std::thread::available_parallelism().map_or(4, |p| p.get().max(2)),
             ..Executor::serial()
         }
     }
@@ -380,7 +405,7 @@ impl Executor {
 
     /// Builder: make the [`ProgressEvent`] sequence replay-deterministic
     /// under parallel enactment. Each task's event block is buffered
-    /// while workers race and flushed after quiescence, ordered by the
+    /// while tasks run and flushed after quiescence, ordered by the
     /// task's completion instant on the simulated clock (ties broken by
     /// task id), with `RunStarted` first and `RunFinished` last;
     /// `ExecutionReport::runs` follows the same order. The default
@@ -400,50 +425,166 @@ impl Executor {
     }
 
     /// Enact `graph`. `bindings` provides tokens for unconnected input
-    /// ports (`(task, port) → token`).
+    /// ports (`(task, port) → token`). The first task failure halts
+    /// dispatch and is returned as [`WorkflowError::TaskFailed`].
     pub fn run(
         &self,
         graph: &TaskGraph,
         bindings: &HashMap<(TaskId, usize), Token>,
     ) -> Result<ExecutionReport> {
-        // Validate that every input is fed.
-        for t in 0..graph.num_tasks() {
-            for (port, spec) in graph.unconnected_inputs(t)? {
-                if !bindings.contains_key(&(t, port)) {
-                    return Err(WorkflowError::UnboundInput {
-                        task: graph.task(t)?.name.clone(),
-                        port: spec.name,
-                    });
-                }
-            }
-        }
-        let order = graph.topological_order()?;
-        self.emit(ProgressEvent::RunStarted {
-            tasks: graph.num_tasks(),
-        });
+        let policy = Policy {
+            workers: self.workers,
+            fail_fast: true,
+            buffered: self.deterministic_events,
+        };
+        self.enact(Frontier::new(graph, bindings, policy)?)
+    }
+
+    /// The orchestrator loop behind [`Executor::run`] and
+    /// [`Executor::run_durable`]: emit the run's start, drive `frontier`
+    /// to quiescence inline or on a worker pool, then build the report.
+    pub(crate) fn enact(&self, mut frontier: Frontier<'_>) -> Result<ExecutionReport> {
+        let n = frontier.graph.num_tasks();
+        let start = Instant::now();
+        let vstart = self.virtual_now();
+        self.emit(ProgressEvent::RunStarted { tasks: n });
         let mut root_span = self.tracer.as_ref().map(|t| {
-            let mut span = t.start_span("workflow", SpanKind::Workflow, None);
-            span.set_attr("tasks", graph.num_tasks().to_string());
+            let durable = frontier.journal.is_some();
+            let name = if durable {
+                "durable-workflow"
+            } else {
+                "workflow"
+            };
+            let mut span = t.start_span(name, SpanKind::Workflow, None);
+            span.set_attr("tasks", n.to_string());
+            if durable {
+                let restored = frontier.status.iter().filter(|s| **s == Status::Completed);
+                span.set_attr("replayed", restored.count().to_string());
+            }
             span
         });
         let root = root_span.as_ref().map(|s| s.ctx());
-        let result = match self.mode {
-            ExecutionMode::Serial => self.run_serial(graph, bindings, &order, root),
-            ExecutionMode::Parallel => self.run_parallel(graph, bindings, root),
+
+        let budget = Mutex::new(self.policy.retry_budget);
+        let halt = AtomicBool::new(false);
+        let policy = frontier.policy;
+        let deaths = frontier.journal.as_ref().map(|j| j.config);
+        let graph = frontier.graph;
+        // Run one claim: the same code inline and on a pool worker.
+        let execute = |job: Job| -> Outcome {
+            if halt.load(Ordering::SeqCst) {
+                return Outcome::Skipped;
+            }
+            let events = Mutex::new(Vec::new());
+            let (result, run) =
+                self.execute_task(graph, job.task, &job.inputs, &budget, root, &|e| {
+                    if policy.buffered {
+                        events.lock().push(e);
+                    } else {
+                        self.emit(e);
+                    }
+                });
+            if policy.fail_fast && result.is_err() {
+                halt.store(true, Ordering::SeqCst);
+            }
+            let tick = self.virtual_now();
+            // A scripted worker death discards the finished claim
+            // without an ack, so the orchestrator must redeliver it.
+            if deaths.is_some_and(|c| c.worker_dies(job.claim, tick)) {
+                return Outcome::Died(job.task);
+            }
+            let entry = Entry {
+                tick,
+                task: job.task,
+                events: events.into_inner(),
+                run,
+            };
+            Outcome::Acked(result, entry)
         };
-        match &result {
-            Ok(report) => self.emit(ProgressEvent::RunFinished {
+
+        let outcome = (|| -> Result<ExecutionReport> {
+            frontier.seed()?;
+            if policy.workers <= 1 {
+                frontier.drive(
+                    self,
+                    |job| Some(execute(job)),
+                    || unreachable!("inline claims are acknowledged at once"),
+                )?;
+            } else {
+                let execute = &execute;
+                std::thread::scope(|scope| {
+                    let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job>();
+                    let (done_tx, done_rx) = crossbeam::channel::unbounded::<Outcome>();
+                    for _ in 0..policy.workers {
+                        let (job_rx, done_tx) = (job_rx.clone(), done_tx.clone());
+                        scope.spawn(move || {
+                            while let Ok(job) = job_rx.recv() {
+                                let _ = done_tx.send(execute(job));
+                            }
+                        });
+                    }
+                    drop(done_tx);
+                    let driven = frontier.drive(
+                        self,
+                        |job| {
+                            let _ = job_tx.send(job);
+                            None
+                        },
+                        || done_rx.recv().expect("a worker panicked"),
+                    );
+                    // Stop the pool on every exit path, crash included:
+                    // claims still queued are skipped, and closing the
+                    // job channel ends each worker's loop.
+                    halt.store(true, Ordering::SeqCst);
+                    drop(job_tx);
+                    driven
+                })?;
+            }
+            if let Some(journal) = &mut frontier.journal {
+                let elapsed = self.virtual_now().saturating_sub(vstart);
+                journal.run_finished(frontier.runs.len(), elapsed)?;
+            }
+
+            let mut entries = std::mem::take(&mut frontier.runs);
+            if policy.buffered {
+                // The same sequence every enactment of the same
+                // workflow, however the workers were scheduled.
+                entries.sort_by_key(|e| (e.tick, e.task));
+                for entry in &mut entries {
+                    for event in entry.events.drain(..) {
+                        self.emit(event);
+                    }
+                }
+            }
+            if let Some((task, message)) = frontier.failure.take() {
+                return Err(WorkflowError::TaskFailed { task, message });
+            }
+            let mut report = ExecutionReport {
+                runs: entries.into_iter().map(|e| e.run).collect(),
+                ..ExecutionReport::default()
+            };
+            let produced = std::mem::take(&mut frontier.produced);
+            for (task, outputs) in produced.into_iter().enumerate() {
+                for (port, token) in outputs.into_iter().flatten().enumerate() {
+                    if frontier.fed[task].get(port) == Some(&false) {
+                        report.outputs.insert((task, port), token);
+                    }
+                }
+            }
+            report.elapsed = start.elapsed();
+            report.virtual_elapsed = self.virtual_now().saturating_sub(vstart);
+            report.retry_budget_remaining = *budget.lock();
+            self.emit(ProgressEvent::RunFinished {
                 tasks: report.runs.len(),
                 elapsed: report.elapsed,
                 virtual_elapsed: report.virtual_elapsed,
-            }),
-            Err(e) => {
-                if let Some(span) = root_span.as_mut() {
-                    span.set_error(e.to_string());
-                }
-            }
+            });
+            Ok(report)
+        })();
+        if let (Err(e), Some(span)) = (&outcome, root_span.as_mut()) {
+            span.set_error(e.to_string());
         }
-        result
+        outcome
     }
 
     pub(crate) fn execute_task(
@@ -456,6 +597,7 @@ impl Executor {
         emit: &(dyn Fn(ProgressEvent) + Sync),
     ) -> (std::result::Result<Vec<Token>, String>, TaskRun) {
         let node = graph.task(task).expect("validated id");
+        let mut run = TaskRun::blank(node.name.clone());
         // Memoisation: pure tasks with unchanged inputs are served from
         // the cache without executing (attempts stays 0).
         let memo_key = self
@@ -471,40 +613,25 @@ impl Executor {
                 emit(ProgressEvent::CacheHit {
                     task: node.name.clone(),
                 });
-                return (
-                    Ok(outputs),
-                    TaskRun {
-                        task: node.name.clone(),
-                        attempts: 0,
-                        duration: Duration::ZERO,
-                        virtual_duration: Duration::ZERO,
-                        backoff: Duration::ZERO,
-                        sheds: 0,
-                        cached: true,
-                        replayed: false,
-                        error: None,
-                    },
-                );
+                run.cached = true;
+                return (Ok(outputs), run);
             }
         }
         let backoff_policy =
             ResiliencePolicy::default().backoff(self.policy.base_backoff, self.policy.max_backoff);
         let mut schedule =
             BackoffSchedule::new(&backoff_policy, self.policy.seed ^ task_seed(&node.name));
-        let mut backoff_total = Duration::ZERO;
-        let mut sheds = 0u64;
-        let mut attempts = 0;
         loop {
-            attempts += 1;
+            run.attempts += 1;
             emit(ProgressEvent::Started {
                 task: node.name.clone(),
-                attempt: attempts,
+                attempt: run.attempts,
             });
             // One span per attempt, current for the duration of the
             // tool call so SOAP-call spans opened inside chain under it.
             let mut task_span = self.tracer.as_ref().map(|t| {
                 let mut span = t.start_span(node.name.clone(), SpanKind::Task, root);
-                span.set_attr("attempt", attempts.to_string());
+                span.set_attr("attempt", run.attempts.to_string());
                 span
             });
             let _current = task_span.as_ref().map(|s| s.make_current());
@@ -513,388 +640,74 @@ impl Executor {
             let result = node.tool.execute(inputs);
             // Sheds the tool absorbed this attempt (retried or failed-
             // over ServerBusy responses) roll up into the run record.
-            sheds += node.tool.last_call_sheds();
-            match result {
-                Ok(outputs) => {
-                    let expected = node.tool.output_ports().len();
-                    if outputs.len() != expected {
-                        let msg = format!(
-                            "tool returned {} outputs, declared {expected}",
-                            outputs.len()
-                        );
-                        if let Some(span) = task_span.as_mut() {
-                            span.set_error(msg.clone());
-                        }
-                        emit(ProgressEvent::Failed {
-                            task: node.name.clone(),
-                            message: msg.clone(),
-                        });
-                        return (
-                            Err(msg.clone()),
-                            TaskRun {
-                                task: node.name.clone(),
-                                attempts,
-                                duration: start.elapsed(),
-                                virtual_duration: self.virtual_now().saturating_sub(vstart),
-                                backoff: backoff_total,
-                                sheds,
-                                cached: false,
-                                replayed: false,
-                                error: Some(msg),
-                            },
-                        );
-                    }
+            run.sheds += node.tool.last_call_sheds();
+            run.duration = start.elapsed();
+            run.virtual_duration = self.virtual_now().saturating_sub(vstart);
+            // A tool error may be retried; a wrong output arity may not.
+            let expected = node.tool.output_ports().len();
+            let (mut message, retryable) = match result {
+                Ok(outputs) if outputs.len() == expected => {
                     emit(ProgressEvent::Finished {
                         task: node.name.clone(),
-                        attempts,
-                        duration: start.elapsed(),
+                        attempts: run.attempts,
+                        duration: run.duration,
                     });
                     if let (Some(memo), Some(key)) = (&self.memo, memo_key) {
                         memo.insert(key, outputs.clone());
                     }
-                    return (
-                        Ok(outputs),
-                        TaskRun {
-                            task: node.name.clone(),
-                            attempts,
-                            duration: start.elapsed(),
-                            virtual_duration: self.virtual_now().saturating_sub(vstart),
-                            backoff: backoff_total,
-                            sheds,
-                            cached: false,
-                            replayed: false,
-                            error: None,
-                        },
-                    );
+                    return (Ok(outputs), run);
                 }
-                Err(mut message) => {
-                    if let Some(span) = task_span.as_mut() {
-                        span.set_error(message.clone());
+                Ok(outputs) => (
+                    format!(
+                        "tool returned {} outputs, declared {expected}",
+                        outputs.len()
+                    ),
+                    false,
+                ),
+                Err(message) => (message, true),
+            };
+            if let Some(span) = task_span.as_mut() {
+                span.set_error(message.clone());
+            }
+            // Charge the shared per-workflow budget before retrying;
+            // exhaustion turns this failure terminal even with attempts
+            // left.
+            let budget_remaining = if retryable && run.attempts < self.policy.max_attempts {
+                let mut budget = budget.lock();
+                match *budget {
+                    None => Some(None),
+                    Some(n) if n > 0 => {
+                        *budget = Some(n - 1);
+                        Some(Some(n - 1))
                     }
-                    // Charge the shared per-workflow budget before
-                    // retrying; exhaustion turns this failure terminal
-                    // even with attempts left.
-                    let budget_remaining = if attempts < self.policy.max_attempts {
-                        let mut budget = budget.lock();
-                        match *budget {
-                            None => Some(None),
-                            Some(n) if n > 0 => {
-                                *budget = Some(n - 1);
-                                Some(Some(n - 1))
-                            }
-                            Some(_) => {
-                                message = format!("{message} (retry budget exhausted)");
-                                None
-                            }
-                        }
-                    } else {
+                    Some(_) => {
+                        message = format!("{message} (retry budget exhausted)");
                         None
-                    };
-                    match budget_remaining {
-                        Some(remaining) => {
-                            let delay = schedule.next_delay();
-                            backoff_total += delay;
-                            if let Some(sink) = &self.backoff_sink {
-                                sink(delay);
-                            }
-                            emit(ProgressEvent::Retrying {
-                                task: node.name.clone(),
-                                next_attempt: attempts + 1,
-                                backoff: delay,
-                                budget_remaining: remaining,
-                            });
-                        }
-                        None => {
-                            emit(ProgressEvent::Failed {
-                                task: node.name.clone(),
-                                message: message.clone(),
-                            });
-                            return (
-                                Err(message.clone()),
-                                TaskRun {
-                                    task: node.name.clone(),
-                                    attempts,
-                                    duration: start.elapsed(),
-                                    virtual_duration: self.virtual_now().saturating_sub(vstart),
-                                    backoff: backoff_total,
-                                    sheds,
-                                    cached: false,
-                                    replayed: false,
-                                    error: Some(message),
-                                },
-                            );
-                        }
                     }
                 }
+            } else {
+                None
+            };
+            let Some(remaining) = budget_remaining else {
+                emit(ProgressEvent::Failed {
+                    task: node.name.clone(),
+                    message: message.clone(),
+                });
+                run.error = Some(message.clone());
+                return (Err(message), run);
+            };
+            let delay = schedule.next_delay();
+            run.backoff += delay;
+            if let Some(sink) = &self.backoff_sink {
+                sink(delay);
             }
-        }
-    }
-
-    pub(crate) fn gather_inputs(
-        graph: &TaskGraph,
-        task: TaskId,
-        bindings: &HashMap<(TaskId, usize), Token>,
-        produced: &HashMap<(TaskId, usize), Token>,
-    ) -> Vec<Token> {
-        let num_inputs = graph
-            .task(task)
-            .expect("validated")
-            .tool
-            .input_ports()
-            .len();
-        (0..num_inputs)
-            .map(|port| {
-                if let Some(cable) = graph
-                    .cables()
-                    .iter()
-                    .find(|c| c.to_task == task && c.to_port == port)
-                {
-                    produced
-                        .get(&(cable.from_task, cable.from_port))
-                        .cloned()
-                        .expect("producer ran before consumer")
-                } else {
-                    bindings
-                        .get(&(task, port))
-                        .cloned()
-                        .expect("validated binding")
-                }
-            })
-            .collect()
-    }
-
-    fn run_serial(
-        &self,
-        graph: &TaskGraph,
-        bindings: &HashMap<(TaskId, usize), Token>,
-        order: &[TaskId],
-        root: Option<SpanContext>,
-    ) -> Result<ExecutionReport> {
-        let start = Instant::now();
-        let vstart = self.virtual_now();
-        let budget = Mutex::new(self.policy.retry_budget);
-        let mut produced: HashMap<(TaskId, usize), Token> = HashMap::new();
-        let mut report = ExecutionReport::default();
-        for &task in order {
-            let inputs = Self::gather_inputs(graph, task, bindings, &produced);
-            let (result, run) =
-                self.execute_task(graph, task, &inputs, &budget, root, &|e| self.emit(e));
-            report.runs.push(run);
-            match result {
-                Ok(outputs) => {
-                    for (port, token) in outputs.into_iter().enumerate() {
-                        produced.insert((task, port), token);
-                    }
-                }
-                Err(message) => {
-                    report.elapsed = start.elapsed();
-                    return Err(WorkflowError::TaskFailed {
-                        task: graph.task(task)?.name.clone(),
-                        message,
-                    });
-                }
-            }
-        }
-        self.collect_outputs(graph, &produced, &mut report)?;
-        report.elapsed = start.elapsed();
-        report.virtual_elapsed = self.virtual_now().saturating_sub(vstart);
-        report.retry_budget_remaining = budget.into_inner();
-        Ok(report)
-    }
-
-    fn run_parallel(
-        &self,
-        graph: &TaskGraph,
-        bindings: &HashMap<(TaskId, usize), Token>,
-        root: Option<SpanContext>,
-    ) -> Result<ExecutionReport> {
-        let start = Instant::now();
-        let vstart = self.virtual_now();
-        let n = graph.num_tasks();
-        let mut indegree = vec![0usize; n];
-        for c in graph.cables() {
-            indegree[c.to_task] += 1;
-        }
-
-        let produced = Mutex::new(HashMap::<(TaskId, usize), Token>::new());
-        let budget = Mutex::new(self.policy.retry_budget);
-        let state = Mutex::new((indegree, Vec::<TaskRun>::new(), None::<(String, String)>));
-        // Deterministic-event mode: each task's event block is buffered
-        // with its completion instant and flushed in sorted order after
-        // the scope, so listeners see a schedule-independent sequence.
-        type Buffered = (Duration, TaskId, Vec<ProgressEvent>, TaskRun);
-        let buffered = Mutex::new(Vec::<Buffered>::new());
-        let (work_tx, work_rx) = crossbeam::channel::unbounded::<TaskId>();
-        let pending = std::sync::atomic::AtomicUsize::new(n);
-
-        // Seed the ready queue.
-        {
-            let state = state.lock();
-            for t in 0..n {
-                if state.0[t] == 0 {
-                    work_tx.send(t).expect("queue open");
-                }
-            }
-        }
-        if n == 0 {
-            return Ok(ExecutionReport {
-                elapsed: start.elapsed(),
-                ..Default::default()
+            emit(ProgressEvent::Retrying {
+                task: node.name.clone(),
+                next_attempt: run.attempts + 1,
+                backoff: delay,
+                budget_remaining: remaining,
             });
         }
-
-        // Poison pill: once the final task completes (or one fails), a
-        // worker broadcasts POISON; every receiver re-broadcasts and
-        // exits, so no thread blocks on a channel whose senders are all
-        // still alive inside blocked peers.
-        const POISON: TaskId = usize::MAX;
-        let workers = std::thread::available_parallelism()
-            .map_or(4, |p| p.get())
-            .min(n.max(1));
-        crossbeam::scope(|scope| {
-            for _ in 0..workers {
-                let work_rx = work_rx.clone();
-                let work_tx = work_tx.clone();
-                let produced = &produced;
-                let budget = &budget;
-                let state = &state;
-                let pending = &pending;
-                let buffered = &buffered;
-                scope.spawn(move |_| {
-                    while let Ok(task) = work_rx.recv() {
-                        if task == POISON {
-                            let _ = work_tx.send(POISON);
-                            break;
-                        }
-                        // Fail-fast cancellation. Tasks already sitting
-                        // in the queue when a sibling fails must not
-                        // execute: without this check they race the
-                        // POISON pill, and which of them win depends on
-                        // scheduling — the set of tasks that ran after
-                        // a failure was nondeterministic. The failing
-                        // worker has already broadcast POISON, so
-                        // skipping (not executing, not touching
-                        // `pending`) still terminates every worker.
-                        if state.lock().2.is_some() {
-                            continue;
-                        }
-                        let inputs = {
-                            let produced = produced.lock();
-                            Self::gather_inputs(graph, task, bindings, &produced)
-                        };
-                        let (result, run) = if self.deterministic_events {
-                            let local = Mutex::new(Vec::new());
-                            let (result, run) =
-                                self.execute_task(graph, task, &inputs, budget, root, &|e| {
-                                    local.lock().push(e)
-                                });
-                            buffered.lock().push((
-                                self.virtual_now(),
-                                task,
-                                local.into_inner(),
-                                run.clone(),
-                            ));
-                            (result, run)
-                        } else {
-                            self.execute_task(graph, task, &inputs, budget, root, &|e| self.emit(e))
-                        };
-                        let failed = result.is_err();
-                        match result {
-                            Ok(outputs) => {
-                                {
-                                    let mut produced = produced.lock();
-                                    for (port, token) in outputs.into_iter().enumerate() {
-                                        produced.insert((task, port), token);
-                                    }
-                                }
-                                let mut state = state.lock();
-                                state.1.push(run);
-                                // A sibling failed while this task was
-                                // in flight: record the completed run
-                                // but schedule no successors — the run
-                                // is over.
-                                if state.2.is_none() {
-                                    for c in graph.cables() {
-                                        if c.from_task == task {
-                                            state.0[c.to_task] -= 1;
-                                            if state.0[c.to_task] == 0 {
-                                                work_tx.send(c.to_task).expect("queue open");
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            Err(message) => {
-                                let mut state = state.lock();
-                                state.1.push(run);
-                                if state.2.is_none() {
-                                    state.2 = Some((
-                                        graph.task(task).expect("validated").name.clone(),
-                                        message,
-                                    ));
-                                }
-                            }
-                        }
-                        let left = pending.fetch_sub(1, std::sync::atomic::Ordering::SeqCst) - 1;
-                        if left == 0 || failed {
-                            let _ = work_tx.send(POISON);
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(work_tx);
-            drop(work_rx);
-        })
-        .expect("workflow worker panicked");
-
-        let (_, runs, failure) = state.into_inner();
-        let runs = if self.deterministic_events {
-            // Flush buffered event blocks (and order the run records)
-            // by (completion tick, task id): the same sequence every
-            // enactment of the same workflow, regardless of how the OS
-            // scheduled the workers.
-            let mut buffered = buffered.into_inner();
-            buffered.sort_by_key(|b| (b.0, b.1));
-            for (_, _, events, _) in &buffered {
-                for event in events {
-                    self.emit(event.clone());
-                }
-            }
-            buffered.into_iter().map(|(_, _, _, run)| run).collect()
-        } else {
-            runs
-        };
-        let mut report = ExecutionReport {
-            runs,
-            ..ExecutionReport::default()
-        };
-        if let Some((task, message)) = failure {
-            report.elapsed = start.elapsed();
-            return Err(WorkflowError::TaskFailed { task, message });
-        }
-        let produced = produced.into_inner();
-        self.collect_outputs(graph, &produced, &mut report)?;
-        report.elapsed = start.elapsed();
-        report.virtual_elapsed = self.virtual_now().saturating_sub(vstart);
-        report.retry_budget_remaining = budget.into_inner();
-        Ok(report)
-    }
-
-    pub(crate) fn collect_outputs(
-        &self,
-        graph: &TaskGraph,
-        produced: &HashMap<(TaskId, usize), Token>,
-        report: &mut ExecutionReport,
-    ) -> Result<()> {
-        for t in 0..graph.num_tasks() {
-            for (port, _) in graph.unconnected_outputs(t)? {
-                if let Some(token) = produced.get(&(t, port)) {
-                    report.outputs.insert((t, port), token.clone());
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -907,6 +720,267 @@ fn task_seed(name: &str) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The settings `run` and `run_durable` differ in, besides the journal.
+#[derive(Clone, Copy)]
+pub(crate) struct Policy {
+    /// Pool width; at most 1 runs each claim on the calling thread.
+    pub(crate) workers: usize,
+    /// `true`: the first failure halts dispatch and fails the run.
+    /// `false`: a failure blocks only its downstream cone and
+    /// independent branches run to completion.
+    pub(crate) fail_fast: bool,
+    /// Buffer each task's events and flush them in `(tick, task id)`
+    /// order once the run is quiescent, instead of delivering them live.
+    pub(crate) buffered: bool,
+}
+
+/// Orchestrator-side task lifecycle.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Status {
+    Runnable,
+    Completed,
+    Failed,
+    Blocked,
+}
+
+/// A task's run record, with the simulated instant it was acknowledged
+/// and, under buffered delivery, its progress events.
+pub(crate) struct Entry {
+    pub(crate) tick: Duration,
+    pub(crate) task: TaskId,
+    pub(crate) events: Vec<ProgressEvent>,
+    pub(crate) run: TaskRun,
+}
+
+/// A dispatched claim: claims are numbered from 1 in dispatch order.
+struct Job {
+    claim: u64,
+    task: TaskId,
+    inputs: Vec<Token>,
+}
+
+/// What became of a claim.
+enum Outcome {
+    /// The task ran to a terminal result.
+    Acked(std::result::Result<Vec<Token>, String>, Entry),
+    /// The worker died mid-claim (scripted): no ack, results discarded.
+    Died(TaskId),
+    /// The run had already halted; the task did not execute.
+    Skipped,
+}
+
+/// The remaining-work frontier of one enactment, over the graph's
+/// cables indexed once: the orchestrator's whole state.
+pub(crate) struct Frontier<'a> {
+    graph: &'a TaskGraph,
+    bindings: &'a Bindings,
+    policy: Policy,
+    /// Where state transitions are journaled; `None` journals nothing.
+    pub(crate) journal: Option<Appender<'a>>,
+    /// Consumer of every cable leaving each task, in cable order.
+    successors: Vec<Vec<TaskId>>,
+    /// Producer `(task, port)` of each input port; `None` when bound.
+    sources: Vec<Vec<Option<(TaskId, usize)>>>,
+    /// Whether each output port feeds a cable.
+    fed: Vec<Vec<bool>>,
+    pub(crate) status: Vec<Status>,
+    /// Output tokens of each completed task.
+    pub(crate) produced: Vec<Option<Vec<Token>>>,
+    /// Restored and acknowledged run records.
+    pub(crate) runs: Vec<Entry>,
+    indegree: Vec<usize>,
+    ready: VecDeque<TaskId>,
+    claims: u64,
+    /// The halting failure under fail-fast: `(task name, message)`.
+    failure: Option<(String, String)>,
+}
+
+impl<'a> Frontier<'a> {
+    /// A frontier with every task runnable, after checking that
+    /// `bindings` feeds every unconnected input port.
+    pub(crate) fn new(
+        graph: &'a TaskGraph,
+        bindings: &'a Bindings,
+        mut policy: Policy,
+    ) -> Result<Frontier<'a>> {
+        let n = graph.num_tasks();
+        let mut sources = Vec::with_capacity(n);
+        let mut fed = Vec::with_capacity(n);
+        for t in 0..n {
+            let tool = &graph.task(t)?.tool;
+            sources.push(vec![None; tool.input_ports().len()]);
+            fed.push(vec![false; tool.output_ports().len()]);
+        }
+        let mut successors = vec![Vec::new(); n];
+        for c in graph.cables() {
+            successors[c.from_task].push(c.to_task);
+            sources[c.to_task][c.to_port] = Some((c.from_task, c.from_port));
+            fed[c.from_task][c.from_port] = true;
+        }
+        for (t, ports) in sources.iter().enumerate() {
+            let unbound = |&p: &usize| ports[p].is_none() && !bindings.contains_key(&(t, p));
+            if let Some(port) = (0..ports.len()).find(unbound) {
+                let node = graph.task(t)?;
+                return Err(WorkflowError::UnboundInput {
+                    task: node.name.clone(),
+                    port: node.tool.input_ports().swap_remove(port).name,
+                });
+            }
+        }
+        policy.workers = policy.workers.min(n);
+        Ok(Frontier {
+            graph,
+            bindings,
+            policy,
+            journal: None,
+            successors,
+            sources,
+            fed,
+            status: vec![Status::Runnable; n],
+            produced: vec![None; n],
+            runs: Vec::new(),
+            indegree: vec![0; n],
+            ready: VecDeque::new(),
+            claims: 0,
+            failure: None,
+        })
+    }
+
+    /// The input tokens of `task` — each port's producer output or its
+    /// binding — or `None` while a producer has not completed.
+    pub(crate) fn inputs(&self, task: TaskId) -> Option<Vec<Token>> {
+        let sources = self.sources[task].iter().enumerate();
+        sources
+            .map(|(port, source)| match *source {
+                Some((from, port)) => self.produced[from].as_ref().map(|o| o[port].clone()),
+                None => Some(self.bindings[&(task, port)].clone()),
+            })
+            .collect()
+    }
+
+    /// Open the run: failed tasks block their cones, every runnable task
+    /// waits on each producer not yet completed, and the journal records
+    /// the start.
+    fn seed(&mut self) -> Result<()> {
+        let n = self.status.len();
+        for task in 0..n {
+            if self.status[task] == Status::Failed {
+                self.block_cone(task);
+            }
+        }
+        for task in (0..n).filter(|&t| self.status[t] != Status::Completed) {
+            for &next in &self.successors[task] {
+                if self.status[next] == Status::Runnable {
+                    self.indegree[next] += 1;
+                }
+            }
+        }
+        let ready = (0..n).filter(|&t| self.status[t] == Status::Runnable && self.indegree[t] == 0);
+        self.ready = ready.collect();
+        self.journal.as_mut().map_or(Ok(()), |j| j.run_started(n))
+    }
+
+    /// The orchestrator loop: claim every ready task — inline, the
+    /// newest first, as [`TaskGraph::topological_order`] does; on a pool,
+    /// the oldest first — then wait for one acknowledgement, until
+    /// nothing is ready or in flight. `submit` runs a claim inline and
+    /// returns its outcome, or queues it and returns `None`.
+    fn drive(
+        &mut self,
+        exec: &Executor,
+        mut submit: impl FnMut(Job) -> Option<Outcome>,
+        mut wait: impl FnMut() -> Outcome,
+    ) -> Result<()> {
+        let mut in_flight = 0usize;
+        loop {
+            while self.failure.is_none() {
+                let next = if self.policy.workers <= 1 {
+                    self.ready.pop_back()
+                } else {
+                    self.ready.pop_front()
+                };
+                let Some(task) = next else { break };
+                if let Some(journal) = &mut self.journal {
+                    journal.task_started(self.graph, task)?;
+                }
+                self.claims += 1;
+                let inputs = self.inputs(task).expect("producers ran before consumer");
+                match submit(Job {
+                    claim: self.claims,
+                    task,
+                    inputs,
+                }) {
+                    Some(outcome) => self.ack(exec, outcome)?,
+                    None => in_flight += 1,
+                }
+            }
+            if in_flight == 0 {
+                return Ok(());
+            }
+            in_flight -= 1;
+            let outcome = wait();
+            self.ack(exec, outcome)?;
+        }
+    }
+
+    /// Acknowledge a claim's outcome: journal and record it, then
+    /// release its successors (or block its cone).
+    fn ack(&mut self, exec: &Executor, outcome: Outcome) -> Result<()> {
+        let (result, entry) = match outcome {
+            Outcome::Acked(result, entry) => (result, entry),
+            Outcome::Skipped => return Ok(()),
+            Outcome::Died(task) => {
+                if let Some(journal) = &self.journal {
+                    journal.config.journal().note_redelivery();
+                }
+                self.ready.push_back(task);
+                return Ok(());
+            }
+        };
+        let task = entry.task;
+        if let Some(journal) = &mut self.journal {
+            journal.task_acked(exec, self.graph, task, &result, &entry.run)?;
+        }
+        match result {
+            Ok(outputs) => {
+                self.produced[task] = Some(outputs);
+                self.status[task] = Status::Completed;
+                for &next in &self.successors[task] {
+                    if self.status[next] == Status::Runnable {
+                        self.indegree[next] -= 1;
+                        if self.indegree[next] == 0 {
+                            self.ready.push_back(next);
+                        }
+                    }
+                }
+            }
+            Err(message) => {
+                self.status[task] = Status::Failed;
+                self.block_cone(task);
+                if self.policy.fail_fast && self.failure.is_none() {
+                    self.failure = Some((entry.run.task.clone(), message));
+                }
+            }
+        }
+        self.runs.push(entry);
+        Ok(())
+    }
+
+    /// Block every still-runnable descendant of `task`: a failed node
+    /// poisons only its downstream cone.
+    fn block_cone(&mut self, task: TaskId) {
+        let mut stack = vec![task];
+        while let Some(t) = stack.pop() {
+            for &next in &self.successors[t] {
+                if self.status[next] == Status::Runnable {
+                    self.status[next] = Status::Blocked;
+                    stack.push(next);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -56,12 +56,14 @@ pub enum WorkflowError {
         /// Journal records durably appended before the process died.
         appended: u64,
     },
-    /// A journal was replayed against a workflow it does not belong to
-    /// (the structural fingerprints disagree).
+    /// A journal was replayed against a run it does not belong to: a
+    /// different workflow, or the same workflow with different bindings
+    /// (the run identities disagree).
     JournalMismatch {
-        /// Fingerprint recorded in the journal's run-started record.
+        /// Run identity recorded in the journal's run-started record.
         journal: u128,
-        /// Fingerprint of the graph being enacted.
+        /// Run identity of the enactment being started: the graph's
+        /// structural fingerprint hashed with its bindings.
         graph: u128,
     },
     /// A tool name was not found in the toolbox.
@@ -112,7 +114,7 @@ impl fmt::Display for WorkflowError {
             ),
             WorkflowError::JournalMismatch { journal, graph } => write!(
                 f,
-                "journal belongs to a different workflow (journal fingerprint {journal:#034x}, graph {graph:#034x})"
+                "journal belongs to a different run (journal identity {journal:#034x}, this run {graph:#034x})"
             ),
             WorkflowError::UnknownTool(name) => write!(f, "no tool named {name:?}"),
             WorkflowError::NoCandidates { step, category } => write!(

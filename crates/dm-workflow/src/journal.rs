@@ -54,13 +54,16 @@ pub const DEFAULT_INLINE_LIMIT: usize = 1024;
 /// One event in the enactment's history.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunEvent {
-    /// Enactment began. Stamped with the graph's structural
-    /// fingerprint ([`crate::graph::TaskGraph::structure_fingerprint`])
-    /// so a resume against a different workflow is rejected.
+    /// Enactment began. Stamped with the run identity — the graph's
+    /// structural fingerprint
+    /// ([`crate::graph::TaskGraph::structure_fingerprint`]) hashed
+    /// together with the run's bindings — so a resume against a
+    /// different workflow, or against the same workflow fed different
+    /// inputs, is rejected.
     RunStarted {
         /// Number of tasks in the graph.
         tasks: usize,
-        /// Structural fingerprint of the graph.
+        /// Run identity: structure fingerprint and bindings, hashed.
         fingerprint: u128,
     },
     /// A task was dispatched to the worker pool. A started record with
@@ -161,7 +164,7 @@ pub struct ReplayedTask {
 /// The aggregate state reconstructed by replaying a journal.
 #[derive(Debug, Clone, Default)]
 pub struct Replay {
-    /// `(tasks, fingerprint)` from the run-started record, if present.
+    /// `(tasks, run identity)` from the run-started record, if present.
     pub started: Option<(usize, u128)>,
     /// Tasks with durable completions, keyed by task id.
     pub completed: HashMap<TaskId, ReplayedTask>,

@@ -63,9 +63,7 @@ pub use graph::{Cable, PortSpec, TaskGraph, TaskId, Token, Tool};
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::durable::DurableConfig;
-    pub use crate::engine::{
-        BackoffSink, ExecutionMode, ExecutionReport, Executor, ProgressEvent, RetryPolicy,
-    };
+    pub use crate::engine::{BackoffSink, ExecutionReport, Executor, ProgressEvent, RetryPolicy};
     pub use crate::error::{Result, WorkflowError};
     pub use crate::graph::{Cable, PortSpec, TaskGraph, TaskId, Token, Tool};
     pub use crate::journal::{JournalStats, RunEvent, RunJournal};

@@ -61,7 +61,7 @@ fn main() {
     for event in survived.events().iter().take(6) {
         match event {
             RunEvent::RunStarted { tasks, fingerprint } => {
-                println!("run-started    {tasks} tasks, graph fingerprint {fingerprint:#034x}")
+                println!("run-started    {tasks} tasks, run identity {fingerprint:#034x}")
             }
             RunEvent::TaskStarted { task, name } => println!("task-started   #{task} {name}"),
             RunEvent::TaskCompleted { task, name, .. } => {
